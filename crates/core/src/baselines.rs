@@ -19,6 +19,7 @@
 //! The `overhead` bench and the `table4` harness binary time these
 //! against MnemoT's input-description-only Pattern Engine.
 
+use crate::order;
 use crate::pattern::PatternEngine;
 use crate::sensitivity::{BaselineRun, Baselines, SensitivityEngine};
 use hybridmem::{DetHashMap, DetHashSet, MemTier};
@@ -27,6 +28,16 @@ use ycsb::Trace;
 
 /// Cache-line size assumed by the instrumentation shadow.
 const LINE_BYTES: u64 = 64;
+
+/// Keys hottest-first by profiled events per byte, ties by key id.
+fn density_order(per_key: &[u64], sizes: &[u64]) -> Vec<u64> {
+    order::descending(
+        per_key
+            .iter()
+            .zip(sizes)
+            .map(|(&events, &bytes)| events as f64 / bytes.max(1) as f64),
+    )
+}
 
 /// Result of an instrumentation-based profiling pass.
 #[derive(Debug, Clone)]
@@ -73,12 +84,7 @@ impl InstrumentedProfiler {
                 per_key[key] += count;
             }
         }
-        let mut order: Vec<u64> = (0..trace.sizes.len() as u64).collect();
-        order.sort_by(|&a, &b| {
-            let da = per_key[a as usize] as f64 / trace.sizes[a as usize].max(1) as f64;
-            let db = per_key[b as usize] as f64 / trace.sizes[b as usize].max(1) as f64;
-            db.total_cmp(&da).then(a.cmp(&b))
-        });
+        let order = density_order(&per_key, &trace.sizes);
         let amplification = if trace.is_empty() {
             0.0
         } else {
@@ -129,12 +135,7 @@ impl SamplingProfiler {
                 events += sampled;
             }
         }
-        let mut order: Vec<u64> = (0..trace.sizes.len() as u64).collect();
-        order.sort_by(|&a, &b| {
-            let da = per_key[a as usize] as f64 / trace.sizes[a as usize].max(1) as f64;
-            let db = per_key[b as usize] as f64 / trace.sizes[b as usize].max(1) as f64;
-            db.total_cmp(&da).then(a.cmp(&b))
-        });
+        let order = density_order(&per_key, &trace.sizes);
         let amplification = if trace.is_empty() {
             0.0
         } else {

@@ -14,6 +14,7 @@
 use crate::curve::{CurveRow, EstimateCurve};
 use crate::model::PerfModel;
 use crate::pattern::{KeyStats, PatternEngine};
+use crate::tiering::MnemoT;
 use cloudcost::CostModel;
 use hybridmem::MemTier;
 use ycsb::Op;
@@ -94,16 +95,10 @@ impl EstimateEngine {
             self.key_runtime(s, MemTier::Slow) - fast_runtimes[k]
         });
         if let Some(llc) = self.cache_correction {
-            // Keys resident in the LLC (hot-first by access density until
-            // the capacity is filled) only miss on their cold accesses.
-            let mut density_order: Vec<u64> = (0..pattern.key_count() as u64).collect();
-            density_order.sort_by(|&a, &b| {
-                let sa = pattern.key(a);
-                let sb = pattern.key(b);
-                let da = sa.accesses() as f64 / sa.bytes.max(1) as f64;
-                let db = sb.accesses() as f64 / sb.bytes.max(1) as f64;
-                db.total_cmp(&da).then(a.cmp(&b))
-            });
+            // Keys resident in the LLC (hot-first by access density —
+            // MnemoT's weight — until the capacity is filled) only miss
+            // on their cold accesses.
+            let density_order = MnemoT::weight_order(pattern);
             let mut factors = vec![1.0f64; deltas.len()];
             let mut resident_bytes = 0u64;
             for &k in &density_order {

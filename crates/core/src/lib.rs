@@ -76,6 +76,7 @@ pub mod knapsack;
 pub mod model;
 pub mod multi;
 pub mod ntier;
+mod order;
 pub mod pattern;
 pub mod placement;
 pub mod report;

@@ -13,6 +13,7 @@
 use crate::advisor::Consultation;
 use crate::estimate::EstimateEngine;
 use crate::model::PerfModel;
+use crate::order;
 use crate::pattern::PatternEngine;
 use cloudcost::CostModel;
 use serde::Serialize;
@@ -131,20 +132,19 @@ pub fn allocate_demands(demands: &[TenantDemand], budget_bytes: u64) -> SharedAl
             }
         }
     }
-    candidates.sort_by(|a, b| {
-        let da = a.delta / a.bytes as f64;
-        let db = b.delta / b.bytes as f64;
-        db.total_cmp(&da)
-            .then(a.tenant.cmp(&b.tenant))
-            .then(a.key.cmp(&b.key))
-    });
+    // Candidates were pushed in (tenant, key) order, so position is the
+    // density tie-break.
+    let order = order::descending(candidates.iter().map(|c| c.delta / c.bytes as f64));
 
     let mut used = 0u64;
     let mut grants: Vec<Vec<u64>> = demands.iter().map(|_| Vec::new()).collect();
     let mut granted_bytes: Vec<u64> = demands.iter().map(|_| 0).collect();
     let mut saved: Vec<f64> = demands.iter().map(|_| 0.0).collect();
-    for cand in candidates {
-        if used + cand.bytes <= budget_bytes {
+    for pos in order {
+        let cand = &candidates[pos as usize];
+        // `used <= budget_bytes` holds throughout, so the subtraction
+        // cannot underflow and the test cannot overflow.
+        if cand.bytes <= budget_bytes - used {
             used += cand.bytes;
             grants[cand.tenant].push(cand.key);
             granted_bytes[cand.tenant] += cand.bytes;
@@ -186,7 +186,12 @@ pub fn allocate_demands(demands: &[TenantDemand], budget_bytes: u64) -> SharedAl
 mod tests {
     use super::*;
     use crate::advisor::{Advisor, AdvisorConfig};
+    use crate::model::ModelKind;
+    use crate::pattern::KeyStats;
+    use crate::sensitivity::SensitivityEngine;
     use kvsim::StoreKind;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
     use ycsb::WorkloadSpec;
 
     fn consult(spec: WorkloadSpec, store: StoreKind) -> Consultation {
@@ -277,5 +282,177 @@ mod tests {
             assert!(l.est_runtime_ns <= s.est_runtime_ns + 1e-6);
         }
         assert!(large.worst_slowdown() <= small.worst_slowdown() + 1e-12);
+    }
+
+    /// The fill as it was before the ordering kernel: a stable
+    /// comparator sort on (density desc, tenant, key) and a running-sum
+    /// budget test. Kept as the reference the kernel-driven fill must
+    /// reproduce bit for bit.
+    fn reference_allocate(demands: &[TenantDemand], budget_bytes: u64) -> SharedAllocation {
+        struct Cand {
+            tenant: usize,
+            key: u64,
+            bytes: u64,
+            delta: f64,
+        }
+        let mut candidates = Vec::new();
+        let mut fast_totals = Vec::new();
+        let mut slow_totals = Vec::new();
+        for (tenant, d) in demands.iter().enumerate() {
+            let engine = EstimateEngine::new(d.model.clone(), CostModel::default());
+            let (fast_total, deltas) = engine.key_deltas(&d.pattern);
+            fast_totals.push(fast_total);
+            slow_totals.push(fast_total + deltas.iter().sum::<f64>());
+            for (key, &delta) in deltas.iter().enumerate() {
+                let bytes = d.pattern.key(key as u64).bytes;
+                if delta > 0.0 && bytes > 0 {
+                    candidates.push(Cand {
+                        tenant,
+                        key: key as u64,
+                        bytes,
+                        delta,
+                    });
+                }
+            }
+        }
+        candidates.sort_by(|a, b| {
+            let da = a.delta / a.bytes as f64;
+            let db = b.delta / b.bytes as f64;
+            db.total_cmp(&da)
+                .then(a.tenant.cmp(&b.tenant))
+                .then(a.key.cmp(&b.key))
+        });
+        let mut used = 0u64;
+        let mut grants: Vec<Vec<u64>> = demands.iter().map(|_| Vec::new()).collect();
+        let mut granted_bytes = vec![0u64; demands.len()];
+        let mut saved = vec![0.0f64; demands.len()];
+        for cand in candidates {
+            if used + cand.bytes <= budget_bytes {
+                used += cand.bytes;
+                grants[cand.tenant].push(cand.key);
+                granted_bytes[cand.tenant] += cand.bytes;
+                saved[cand.tenant] += cand.delta;
+            }
+        }
+        let tenants = (0..demands.len())
+            .map(|tenant| {
+                let fast = fast_totals[tenant];
+                let est_runtime_ns = slow_totals[tenant] - saved[tenant];
+                let est_slowdown = if fast > 0.0 {
+                    (est_runtime_ns - fast) / est_runtime_ns
+                } else {
+                    0.0
+                };
+                TenantAllocation {
+                    tenant,
+                    keys: std::mem::take(&mut grants[tenant]),
+                    fast_bytes: granted_bytes[tenant],
+                    est_runtime_ns,
+                    est_slowdown: est_slowdown.max(0.0),
+                }
+            })
+            .collect();
+        SharedAllocation {
+            tenants,
+            used_bytes: used,
+            budget_bytes,
+        }
+    }
+
+    /// Three fitted models (one per store), measured once per process.
+    fn models() -> &'static [PerfModel] {
+        static MODELS: OnceLock<Vec<PerfModel>> = OnceLock::new();
+        MODELS.get_or_init(|| {
+            let t = WorkloadSpec::trending().scaled(60, 600).generate(9);
+            [StoreKind::Redis, StoreKind::Memcached, StoreKind::Dynamo]
+                .into_iter()
+                .map(|store| {
+                    let b = SensitivityEngine::default().measure(store, &t).unwrap();
+                    PerfModel::fit(ModelKind::GlobalAverage, &b, &t.sizes)
+                })
+                .collect()
+        })
+    }
+
+    /// Per-key stats drawn from small pools, so equal densities recur
+    /// within and across tenants that share a model.
+    fn arb_stats() -> impl Strategy<Value = KeyStats> {
+        (
+            0u64..4,
+            0u64..3,
+            prop_oneof![Just(0u64), Just(64u64), Just(128u64), 1u64..512],
+        )
+            .prop_map(|(reads, writes, bytes)| KeyStats {
+                reads,
+                writes,
+                bytes,
+            })
+    }
+
+    fn arb_tenants() -> impl Strategy<Value = Vec<(usize, Vec<KeyStats>)>> {
+        proptest::collection::vec(
+            (0usize..3, proptest::collection::vec(arb_stats(), 0..40)),
+            1..6,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        #[test]
+        fn kernel_fill_is_bit_identical_to_the_comparator_fill(
+            tenants in arb_tenants(),
+            budget_frac in 0.0f64..1.2,
+            unbounded in proptest::bool::ANY,
+        ) {
+            let demands: Vec<TenantDemand> = tenants
+                .into_iter()
+                .map(|(model, stats)| TenantDemand {
+                    model: models()[model].clone(),
+                    pattern: PatternEngine::from_stats(stats),
+                })
+                .collect();
+            let total: u64 = demands.iter().map(|d| d.pattern.total_bytes()).sum();
+            let budget = if unbounded {
+                u64::MAX
+            } else {
+                (total as f64 * budget_frac) as u64
+            };
+            let got = allocate_demands(&demands, budget);
+            let want = reference_allocate(&demands, budget);
+            prop_assert_eq!(got.used_bytes, want.used_bytes);
+            prop_assert_eq!(got.tenants.len(), want.tenants.len());
+            for (g, w) in got.tenants.iter().zip(&want.tenants) {
+                prop_assert_eq!(&g.keys, &w.keys);
+                prop_assert_eq!(g.fast_bytes, w.fast_bytes);
+                prop_assert_eq!(g.est_runtime_ns.to_bits(), w.est_runtime_ns.to_bits());
+                prop_assert_eq!(g.est_slowdown.to_bits(), w.est_slowdown.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn fill_test_cannot_overflow_near_the_top_of_the_byte_range() {
+        // Two keys whose byte counts sum past u64::MAX: the first fits
+        // the unbounded budget, the second no longer does.
+        let stats = vec![
+            KeyStats {
+                reads: 4,
+                writes: 0,
+                bytes: u64::MAX - 8,
+            },
+            KeyStats {
+                reads: 1,
+                writes: 0,
+                bytes: u64::MAX / 2,
+            },
+        ];
+        let demands = vec![TenantDemand {
+            model: models()[0].clone(),
+            pattern: PatternEngine::from_stats(stats),
+        }];
+        let alloc = allocate_demands(&demands, u64::MAX);
+        assert_eq!(alloc.tenants[0].keys, vec![0]);
+        assert_eq!(alloc.used_bytes, u64::MAX - 8);
     }
 }

@@ -15,6 +15,7 @@
 
 use crate::knapsack::{self, Item, Solution};
 use crate::model::PerfModel;
+use crate::order;
 use crate::pattern::PatternEngine;
 use hybridmem::DetHashSet;
 use ycsb::Op;
@@ -32,15 +33,12 @@ impl MnemoT {
     /// Keys ordered by descending placement weight — MnemoT's priority
     /// ordering for FastMem allocations. Ties break by key id.
     pub fn weight_order(pattern: &PatternEngine) -> Vec<u64> {
-        let mut order: Vec<u64> = (0..pattern.key_count() as u64).collect();
-        order.sort_by(|&a, &b| {
-            let sa = pattern.key(a);
-            let sb = pattern.key(b);
-            let wa = Self::weight(sa.accesses(), sa.bytes);
-            let wb = Self::weight(sb.accesses(), sb.bytes);
-            wb.total_cmp(&wa).then(a.cmp(&b))
-        });
-        order
+        order::descending(
+            pattern
+                .stats()
+                .iter()
+                .map(|s| Self::weight(s.accesses(), s.bytes)),
+        )
     }
 
     /// The 0/1-knapsack selection for one fixed FastMem capacity, as

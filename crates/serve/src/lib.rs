@@ -712,4 +712,84 @@ mod tests {
         assert!(served.is_done());
         std::fs::remove_file(&sock).unwrap();
     }
+
+    /// Serve whatever the client has sent, then collect every reply
+    /// frame that has arrived.
+    fn pump(
+        served: &mut ServeLoop,
+        client: &mut UnixStream,
+        buf: &mut proto::FrameBuffer,
+        replies: &mut Vec<String>,
+    ) {
+        served.poll_once().unwrap();
+        let mut chunk = [0u8; 4096];
+        loop {
+            match client.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => buf.extend(&chunk[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+                Err(e) => panic!("client read: {e}"),
+            }
+        }
+        while let Some(frame) = buf.next_frame(replies.len() + 1).unwrap() {
+            replies.push(frame);
+        }
+    }
+
+    #[test]
+    fn oversized_bytes_get_an_error_row_and_serving_continues() {
+        // Every 50th event claims a u64::MAX-byte record. Admitted,
+        // such sizes overflow the pattern's byte total on the next
+        // advise (a debug panic, a wrapped untagged row in release).
+        let dir = std::env::temp_dir().join("mnemo-serve-bytes-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("mnemo.sock");
+        let mut served = ServeLoop::bind(&sock, small_config(), StatePolicy::default()).unwrap();
+        let mut client = UnixStream::connect(&sock).unwrap();
+        client
+            .set_read_timeout(Some(std::time::Duration::from_millis(1)))
+            .unwrap();
+        let mut buf = proto::FrameBuffer::new();
+        let mut replies = Vec::new();
+        for i in 1..=2_000u64 {
+            let bytes = if i % 50 == 0 { u64::MAX } else { 80 + i % 160 };
+            let line = format!(
+                "{{\"v\":1,\"tenant\":\"alpha\",\"key\":{},\"op\":\"read\",\"bytes\":{bytes}}}",
+                i * 17 % 70
+            );
+            client.write_all(&proto::encode_frame(&line)).unwrap();
+            if i % 100 == 0 {
+                pump(&mut served, &mut client, &mut buf, &mut replies);
+            }
+        }
+        client
+            .write_all(&proto::encode_frame(
+                "{\"v\":1,\"cmd\":\"advise\",\"tenant\":\"alpha\"}",
+            ))
+            .unwrap();
+        for _ in 0..100 {
+            pump(&mut served, &mut client, &mut buf, &mut replies);
+            if replies.len() > 40 {
+                break;
+            }
+        }
+        assert_eq!(replies.len(), 41, "{replies:?}");
+        for (n, row) in replies[..40].iter().enumerate() {
+            assert!(row.contains("\"row\":\"error\""), "{row}");
+            assert!(row.contains(&format!("line {}", (n + 1) * 50)), "{row}");
+            assert!(row.contains("record limit"), "{row}");
+        }
+        assert!(
+            replies[40].contains("\"row\":\"advise\""),
+            "{}",
+            replies[40]
+        );
+        assert!(
+            replies[40].contains("\"tenant\":\"alpha\""),
+            "{}",
+            replies[40]
+        );
+        assert_eq!(served.engine().offered(), 1_960);
+        std::fs::remove_file(&sock).unwrap();
+    }
 }

@@ -93,6 +93,16 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+/// The largest record size an ingest event may carry: 512 MiB, the
+/// largest value Redis accepts. A tenant's reconstructed pattern holds
+/// at most about [`DistinctCounter::max_estimate`] (~2.2e10) keys, each
+/// sized at most the largest size ingested, so its byte total stays
+/// below `u64::MAX` (2.2e10 × 2^29 ≈ 1.2e19 < 1.8e19). Larger values
+/// are rejected at parse time.
+///
+/// [`DistinctCounter::max_estimate`]: mnemo_stream::DistinctCounter::max_estimate
+pub const MAX_EVENT_BYTES: u64 = 1 << 29;
+
 /// One ingest event, schema v1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventV1 {
@@ -478,6 +488,12 @@ pub fn parse_request(input: &str, line: usize) -> Result<Request, ServeError> {
         Some(b) => b.u64("`bytes`").map_err(|e| proto_err(line, e))?,
         None => 0,
     };
+    if bytes > MAX_EVENT_BYTES {
+        return Err(proto_err(
+            line,
+            format!("`bytes` {bytes} exceeds the {MAX_EVENT_BYTES}-byte record limit"),
+        ));
+    }
     Ok(Request::Ingest(EventV1 {
         tenant: tenant.to_string(),
         key,
@@ -743,6 +759,31 @@ mod tests {
             }
         }
         assert_eq!(got, frames);
+    }
+
+    #[test]
+    fn bytes_above_the_record_limit_are_protocol_errors() {
+        let line = |bytes: u64| {
+            format!("{{\"v\":1,\"tenant\":\"a\",\"key\":1,\"op\":\"read\",\"bytes\":{bytes}}}")
+        };
+        assert!(parse_request(&line(MAX_EVENT_BYTES), 1).is_ok());
+        for bytes in [MAX_EVENT_BYTES + 1, u64::MAX] {
+            match parse_request(&line(bytes), 7) {
+                Err(ServeError::Proto { line, reason }) => {
+                    assert_eq!(line, 7);
+                    assert!(reason.contains("record limit"), "{reason}");
+                }
+                other => panic!("expected a protocol error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn record_limit_keeps_a_full_pattern_total_in_range() {
+        // One more key than the largest distinct estimate covers the
+        // profiler's cardinality-underestimate tail key.
+        let keys = mnemo_stream::DistinctCounter::max_estimate() + 1;
+        assert!(keys.checked_mul(MAX_EVENT_BYTES).is_some());
     }
 
     #[test]

@@ -21,6 +21,14 @@ fn mix(key: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Largest supported bitmap size, as a power of two.
+const MAX_LOG2_BITS: u32 = 30;
+
+/// Whang et al.'s estimate for an `m`-bit bitmap with `zeros` zero bits.
+fn linear_estimate(m: f64, zeros: u64) -> u64 {
+    (-m * (zeros as f64 / m).ln()).round() as u64
+}
+
 /// A linear-counting distinct estimator.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DistinctCounter {
@@ -34,13 +42,24 @@ impl DistinctCounter {
     /// = 8 KiB). Accurate while the distinct count stays below roughly
     /// the bitmap size; beyond saturation the estimate is a lower bound.
     pub fn new(log2_bits: u32) -> DistinctCounter {
-        assert!((6..=30).contains(&log2_bits), "log2_bits out of [6,30]");
+        assert!(
+            (6..=MAX_LOG2_BITS).contains(&log2_bits),
+            "log2_bits out of [6,30]"
+        );
         let m = 1u64 << log2_bits;
         DistinctCounter {
             bits: vec![0u64; (m / 64) as usize],
             mask: m - 1,
             zeros: m,
         }
+    }
+
+    /// The largest estimate any supported bitmap can report: a
+    /// `2^30`-bit bitmap with one zero bit left (`m·ln m`, about
+    /// 2.2e10, above the `16·m` saturation report). Bounds how many keys
+    /// a profiler's reconstructed pattern can hold.
+    pub fn max_estimate() -> u64 {
+        linear_estimate((1u64 << MAX_LOG2_BITS) as f64, 1)
     }
 
     /// Mark `key` as seen.
@@ -61,7 +80,7 @@ impl DistinctCounter {
             // practice) saturation point rather than infinity.
             return m as u64 * 16;
         }
-        (-m * (self.zeros as f64 / m).ln()).round() as u64
+        linear_estimate(m, self.zeros)
     }
 
     /// Heap footprint in bytes (the bitmap).
@@ -87,7 +106,7 @@ impl DistinctCounter {
         }
         let m = words * 64;
         let log2 = m.ilog2();
-        if !(6..=30).contains(&log2) {
+        if !(6..=MAX_LOG2_BITS).contains(&log2) {
             return Err(format!("bitmap of {m} bits out of supported range"));
         }
         let ones: u64 = state.bits.iter().map(|w| w.count_ones() as u64).sum();
